@@ -1,12 +1,12 @@
 package cluster
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/proto"
+	"repro/internal/shardhost"
 )
 
 // RolloutController turns node-wide membership decisions into staggered
@@ -29,12 +29,13 @@ import (
 //     restarts with the newest view and each shard lands directly on the
 //     latest epoch (views are complete membership states, so skipping
 //     epochs is a fast-forward, not a gap). The skipped views stay in the
-//     controller's log for peers that need to replay them.
+//     node's view log for peers that need to replay them.
 //
-// The controller also owns the node's **view log**: a bounded ring of every
-// view it accepted, served to rejoining or lagging peers via the
-// proto.ViewLogReq fetch (registered on the ShardedNode's ViewHandlers) and
-// replayed from a peer by FastForward when this node is the laggard.
+// Every view the controller accepts enters the node's **view log**, which
+// the node serves to rejoining or lagging peers (proto.ViewLogReq);
+// FastForward replays a peer's log when this node is the laggard. The
+// policy — roll order, gossip observer, view log — is shardhost's; the
+// controller supplies the clock, the locks and the goroutines.
 type RolloutController struct {
 	sn  *ShardedNode
 	cfg RolloutConfig
@@ -47,20 +48,16 @@ type RolloutController struct {
 	latest       proto.View
 	have         bool
 	lastAccepted uint32
-	log          []proto.MUpdate // accepted views, ascending epochs, bounded
 
 	// prevLoads is the load snapshot of the previous roll; deltas against it
 	// are the "live" load that orders the next roll. Only the roll loop
 	// touches it.
 	prevLoads []uint64
 
-	// Epoch-gossip observer state (under mu): the debounce horizon and the
-	// best fast-forward candidate seen during the current debounce window
-	// (newest peer preferred — the one advertising the highest epoch).
-	ffNotBefore time.Time
-	candPeer    proto.NodeID
-	candEpoch   uint32
-	haveCand    bool
+	// obs is the epoch-gossip observer (under mu), clocked by the monotonic
+	// time since start.
+	obs   shardhost.Observer
+	start time.Time
 
 	// Counters (see RolloutStats).
 	views, redelivered, shardInstalls, skippedInstalls atomic.Uint64
@@ -77,10 +74,6 @@ type RolloutConfig struct {
 	// roll, on top of each install's own (blocking) transition time. It
 	// spaces the replay storms the installs trigger; 0 means back-to-back.
 	Stagger time.Duration
-	// LogCap bounds the retained view log (default 64 — reconfigurations
-	// are control-plane rare, and a laggard behind by more rejoins through
-	// the full learner arc anyway).
-	LogCap int
 	// GossipEvery, when positive, broadcasts this node's per-shard epoch
 	// vector (proto.EpochGossip) to GossipPeers on that period. Combined
 	// with the observer on the receive side this closes the self-healing
@@ -94,7 +87,7 @@ type RolloutConfig struct {
 	// window, at most one fetch is issued, and the candidate peer is the
 	// one advertising the highest epoch seen in the window (newest peer
 	// preferred — it provably retains the longest log suffix). Default
-	// 4 x GossipEvery, or 100ms when gossip is off.
+	// shardhost.Debounce(GossipEvery).
 	FFDebounce time.Duration
 }
 
@@ -129,14 +122,15 @@ type RolloutStats struct {
 // OnView to the membership agent (membership.Config.OnView) to complete
 // the automatic pipeline. Close detaches and stops it.
 func NewRolloutController(sn *ShardedNode, cfg RolloutConfig) *RolloutController {
-	if cfg.LogCap <= 0 {
-		cfg.LogCap = 64
+	if cfg.FFDebounce <= 0 {
+		cfg.FFDebounce = shardhost.Debounce(cfg.GossipEvery)
 	}
 	rc := &RolloutController{
-		sn:   sn,
-		cfg:  cfg,
-		kick: make(chan struct{}, 1),
-		stop: make(chan struct{}),
+		sn:    sn,
+		cfg:   cfg,
+		kick:  make(chan struct{}, 1),
+		stop:  make(chan struct{}),
+		start: time.Now(),
 	}
 	// Seed the accepted-epoch floor from the node's current state: a
 	// controller attached to a node already at epoch N must treat a
@@ -151,7 +145,6 @@ func NewRolloutController(sn *ShardedNode, cfg RolloutConfig) *RolloutController
 	rc.prevLoads = sn.ShardLoads()
 	sn.SetViewHandlers(&ViewHandlers{
 		View:        rc.OnView,
-		ViewLog:     rc.serveViewLog,
 		FastForward: rc.onViewLogResp,
 		Gossip:      rc.ObserveGossip,
 	})
@@ -162,17 +155,6 @@ func NewRolloutController(sn *ShardedNode, cfg RolloutConfig) *RolloutController
 		go rc.gossipLoop()
 	}
 	return rc
-}
-
-// ffDebounce resolves the configured (or defaulted) debounce window.
-func (rc *RolloutController) ffDebounce() time.Duration {
-	if rc.cfg.FFDebounce > 0 {
-		return rc.cfg.FFDebounce
-	}
-	if rc.cfg.GossipEvery > 0 {
-		return 4 * rc.cfg.GossipEvery
-	}
-	return 100 * time.Millisecond
 }
 
 // gossipLoop periodically announces this node's per-shard epoch vector to
@@ -200,53 +182,21 @@ func (rc *RolloutController) gossipLoop() {
 }
 
 // ObserveGossip is the receive side of epoch gossip (registered as the
-// node's Gossip handler; membership heartbeat piggybacks route here too). If
-// the peer's vector is strictly ahead of any local shard, the peer becomes a
-// fast-forward candidate; at most one fetch fires per debounce window, at
-// the candidate advertising the highest epoch seen within it. The fetch
-// itself is advisory-safe: its answer replays through the normal install
-// path, so a lying vector can waste one request, never corrupt state.
+// node's Gossip handler; membership heartbeat piggybacks route here too):
+// shardhost.Observer decides whether the peer is ahead and whether a
+// debounced fetch fires, and at whom.
 func (rc *RolloutController) ObserveGossip(from proto.NodeID, epochs []uint32) {
 	rc.gossipRecv.Add(1)
 	local := rc.sn.ShardEpochs()
-	behind := false
-	var peerMax, localMax uint32
-	for _, e := range local {
-		if e > localMax {
-			localMax = e
-		}
-	}
-	for i, e := range epochs {
-		if e > peerMax {
-			peerMax = e
-		}
-		if i < len(local) && e > local[i] {
-			behind = true
-		}
-	}
-	// W-mismatched peers (different vector lengths) still compare by their
-	// highest epoch: views are node-wide decisions, so a peer whose maximum
-	// is ahead has seen an epoch this node missed entirely.
-	if peerMax > localMax {
-		behind = true
-	}
-	if !behind {
-		return
-	}
-	rc.gossipBehind.Add(1)
-	now := time.Now()
 	rc.mu.Lock()
-	if !rc.haveCand || peerMax > rc.candEpoch {
-		rc.candPeer, rc.candEpoch, rc.haveCand = from, peerMax, true
+	behind, fetch, peer := rc.obs.Observe(time.Since(rc.start), rc.cfg.FFDebounce, from, epochs, local)
+	rc.mu.Unlock()
+	if behind {
+		rc.gossipBehind.Add(1)
 	}
-	if now.Before(rc.ffNotBefore) {
-		rc.mu.Unlock()
+	if !fetch {
 		return
 	}
-	rc.ffNotBefore = now.Add(rc.ffDebounce())
-	peer := rc.candPeer
-	rc.haveCand, rc.candEpoch = false, 0
-	rc.mu.Unlock()
 	rc.gossipFF.Add(1)
 	// The fetch leaves on its own goroutine: ObserveGossip runs on the
 	// transport's dispatch pump, and a blocking send (lazy dial, exhausted
@@ -268,8 +218,8 @@ func (rc *RolloutController) OnView(v proto.View) {
 	rc.lastAccepted = v.Epoch
 	rc.latest = v.Clone()
 	rc.have = true
-	rc.logLocked(proto.MUpdate{Shard: proto.AllShards, View: rc.latest})
 	rc.mu.Unlock()
+	rc.sn.recordView(proto.MUpdate{Shard: proto.AllShards, View: v})
 	rc.views.Add(1)
 	select {
 	case rc.kick <- struct{}{}:
@@ -277,31 +227,11 @@ func (rc *RolloutController) OnView(v proto.View) {
 	}
 }
 
-func (rc *RolloutController) logLocked(mu proto.MUpdate) {
-	rc.log = append(rc.log, mu)
-	if len(rc.log) > rc.cfg.LogCap {
-		rc.log = append(rc.log[:0:0], rc.log[len(rc.log)-rc.cfg.LogCap:]...)
-	}
-}
-
-// serveViewLog answers a peer's fast-forward fetch from the retained log.
-// Entries are node-wide views, so they match any requested shard scope.
-func (rc *RolloutController) serveViewLog(req proto.ViewLogReq) []proto.MUpdate {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	var out []proto.MUpdate
-	for _, mu := range rc.log {
-		if mu.View.Epoch > req.Since {
-			out = append(out, mu)
-		}
-	}
-	return out
-}
-
 // onViewLogResp replays a fetched gap: node-wide entries feed OnView (so
 // ordering, dedup and the roll machinery apply — consecutive entries
 // supersede each other and the shards land on the newest, which is exactly
-// the fast-forward), shard-scoped entries install directly on their shard.
+// the fast-forward), shard-scoped entries take the wire m-update path to
+// their shard.
 func (rc *RolloutController) onViewLogResp(from proto.NodeID, updates []proto.MUpdate) {
 	for _, up := range updates {
 		switch {
@@ -316,7 +246,7 @@ func (rc *RolloutController) onViewLogResp(from proto.NodeID, updates []proto.MU
 		case int(up.Shard) < rc.sn.w:
 			if rc.sn.ShardEpochs()[up.Shard] < up.View.Epoch {
 				rc.ffApplied.Add(1)
-				rc.sn.shards[up.Shard].installAsync(up.View)
+				rc.sn.applyWireMUpdate(up)
 			}
 		}
 	}
@@ -327,14 +257,8 @@ func (rc *RolloutController) onViewLogResp(from proto.NodeID, updates []proto.MU
 // whoever detects the lag: a rejoin path, an epoch-gossip observer, or a
 // harness.
 func (rc *RolloutController) FastForward(peer proto.NodeID) {
-	since := rc.sn.ShardEpochs()[0]
-	for _, e := range rc.sn.ShardEpochs() {
-		if e < since {
-			since = e
-		}
-	}
 	rc.ffRequests.Add(1)
-	rc.sn.RequestViewLog(peer, proto.ViewLogReq{Shard: proto.AllShards, Since: since})
+	rc.sn.RequestViewLog(peer, shardhost.FetchReq(rc.sn.ShardEpochs()))
 }
 
 // Stats snapshots the controller's counters; safe mid-traffic.
@@ -423,7 +347,7 @@ func (rc *RolloutController) roll(v proto.View) bool {
 		if rc.onInstall != nil {
 			rc.onInstall(s, v)
 		}
-		rc.sn.InstallShardView(s, v) // blocks until the transition completes
+		rc.sn.shards[s].InstallView(v) // blocks until the transition completes
 		rc.shardInstalls.Add(1)
 		if rc.cfg.Stagger > 0 {
 			select {
@@ -436,29 +360,11 @@ func (rc *RolloutController) roll(v proto.View) bool {
 	return true
 }
 
-// loadOrder returns the shard indices sorted by the load accrued since the
-// previous roll, ascending (ties by index, for determinism): the coolest
-// shard transitions first, the hottest keeps its fast path open longest.
+// loadOrder is shardhost.RollOrder over the load accrued since the
+// previous roll.
 func (rc *RolloutController) loadOrder() []int {
 	cur := rc.sn.ShardLoads()
-	delta := make([]uint64, len(cur))
-	for i, c := range cur {
-		p := uint64(0)
-		if i < len(rc.prevLoads) {
-			p = rc.prevLoads[i]
-		}
-		delta[i] = c - p
-	}
+	order := shardhost.RollOrder(cur, rc.prevLoads)
 	rc.prevLoads = cur
-	order := make([]int, len(cur))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if delta[order[a]] != delta[order[b]] {
-			return delta[order[a]] < delta[order[b]]
-		}
-		return order[a] < order[b]
-	})
 	return order
 }

@@ -268,6 +268,32 @@ func TestRolloutFastForwardViaViewLog(t *testing.T) {
 	})
 }
 
+// TestRolloutFastForwardShardScoped: the node's view log keeps shard-scoped
+// m-updates, not only node-wide views, so a laggard that missed a
+// reconfiguration of one shard fetches it and advances that shard alone.
+func TestRolloutFastForwardShardScoped(t *testing.T) {
+	const w = 4
+	l := NewShardedLocal(LocalConfig{N: 3}, w)
+	defer l.Close()
+	a, b := l.Nodes[0], l.Nodes[1]
+	rcB := NewRolloutController(b, RolloutConfig{})
+	defer rcB.Close()
+
+	// Only node 0 receives the wire m-update for shard 1.
+	l.Tr.Send(2, 0, proto.MUpdate{Shard: 1, View: view3(2)})
+	waitEpochs(t, func() bool { return a.ShardEpochs()[1] == 2 })
+
+	rcB.FastForward(0)
+	waitEpochs(t, func() bool { return b.ShardEpochs()[1] == 2 })
+	time.Sleep(20 * time.Millisecond)
+	if got := b.ShardEpochs(); got[0] != 1 || got[2] != 1 || got[3] != 1 {
+		t.Fatalf("shard-scoped fast-forward moved other shards: %v", got)
+	}
+	if st := rcB.Stats(); st.FFRequests != 1 || st.FFApplied != 1 {
+		t.Fatalf("stats %+v, want 1 request / 1 applied", st)
+	}
+}
+
 // TestRolloutAttachSeedsEpochFloor: a controller attached to a node that
 // already advanced past epoch 1 must treat late-redelivered older views as
 // redeliveries. The dangerous variant is a stale pre-rejoin removal view:

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/proto"
 	"repro/internal/refbuf"
+	"repro/internal/shardhost"
 )
 
 // ShardedNode is the multi-worker protocol engine of HermesKV (paper §4.1):
@@ -65,10 +67,15 @@ type ShardedNode struct {
 	// peer); the shard engines' retransmission recovers them.
 	droppedOut atomic.Uint64
 
+	// vlog is the node's view log: every membership update it installed or
+	// received, served to peers' fast-forward fetches.
+	vlogMu sync.Mutex
+	vlog   shardhost.ViewLog
+
 	// viewHandlers, when set, intercepts node-level membership traffic: a
 	// rollout controller registers here to receive node-wide wire m-updates
 	// (staggering them across shards instead of the all-gates-at-once fan
-	// out), to answer view-log fetches, and to apply fast-forward responses.
+	// out), epoch gossip, and fast-forward responses.
 	viewHandlers atomic.Pointer[ViewHandlers]
 }
 
@@ -78,8 +85,6 @@ type ShardedNode struct {
 type ViewHandlers struct {
 	// View receives node-wide (AllShards) wire m-updates.
 	View func(v proto.View)
-	// ViewLog answers a peer's fast-forward fetch with retained updates.
-	ViewLog func(req proto.ViewLogReq) []proto.MUpdate
 	// FastForward receives a view-log answer to this node's own fetch.
 	FastForward func(from proto.NodeID, updates []proto.MUpdate)
 	// Gossip receives a peer's per-shard epoch vector (proto.EpochGossip);
@@ -350,40 +355,28 @@ func NewShardedNode(cfg ShardedConfig, tr Transport) *ShardedNode {
 	return sn
 }
 
-// dispatch routes an arriving message to the shard that owns it. Tagged
-// messages are delivered only when the tag matches the local owner of the
-// key they carry: a peer configured with a different W computes different
-// owners, and delivering its traffic to a non-owner shard would store
-// values no reader ever consults — silent lost updates. Dropping instead
-// makes a W mismatch stall safely (the sender's MLT keeps retransmitting)
-// rather than corrupt. Untagged messages — from a plain Node or a W=1
-// sharded peer, the one supported mixed deployment — route by key the same
-// way.
+// dispatch hands an arriving message to the shard-host policy's router
+// (shardhost.Route: batch fan-out, the tag-vs-owner check, routing by key)
+// and handles the node-level control traffic the router leaves to it.
 func (sn *ShardedNode) dispatch(from proto.NodeID, msg any) {
+	if shardhost.Route(sn.w, msg, func(s uint16, m any) { sn.deliver[s](from, m) }) {
+		return
+	}
 	switch m := msg.(type) {
-	case proto.ShardBatch:
-		// A coalesced frame fans out: each inner message goes to its owner
-		// shard under the same tag check as a standalone tagged message.
-		for _, sm := range m.Msgs {
-			sn.dispatchTagged(from, sm)
-		}
-	case proto.ShardMsg:
-		sn.dispatchTagged(from, m)
 	case proto.MUpdate:
 		sn.applyWireMUpdate(m)
 	case proto.ViewLogReq:
 		// A fast-forward fetch from a rejoining or lagging peer: answer from
-		// the attached view log. ALWAYS answer — an empty ViewLogResp is the
+		// the node's view log. ALWAYS answer — an empty ViewLogResp is the
 		// legal "nothing newer" — because the request consumed a send credit
 		// on the requester's link that only the response repays; silently
 		// dropping it would erode the peer's send window one fetch at a
 		// time. The reply leaves on its own goroutine: dispatch runs on the
 		// transport's read pump, and a blocking send (lazy dial, exhausted
 		// credits) must not stall delivery of the data traffic behind it.
-		var ups []proto.MUpdate
-		if h := sn.viewHandlers.Load(); h != nil && h.ViewLog != nil {
-			ups = h.ViewLog(m)
-		}
+		sn.vlogMu.Lock()
+		ups := sn.vlog.Serve(m)
+		sn.vlogMu.Unlock()
 		go sn.tr.Send(sn.id, from, proto.ViewLogResp{Updates: ups})
 	case proto.EpochGossip:
 		// Advisory epoch gossip from a peer. Only an attached controller
@@ -404,30 +397,37 @@ func (sn *ShardedNode) dispatch(from proto.NodeID, msg any) {
 			sn.applyWireMUpdate(up)
 		}
 	default:
-		sn.deliver[sn.ownerOf(msg, 0)](from, msg)
+		panic(fmt.Sprintf("cluster: shardhost.Route left %T unrouted", msg))
 	}
 }
 
-// applyWireMUpdate installs a wire m-update on exactly the shards it
-// addresses — the per-shard epoch machinery. Installs are asynchronous: the
-// dispatch pump must not block behind one busy shard's event loop (that
-// would re-couple the shards the per-shard epochs decouple). Out-of-range
-// targets drop, like a mis-tagged ShardMsg. Node-wide (AllShards) updates
-// divert to an attached rollout controller, which rolls them across the
-// shards one gate at a time instead of shutting all W at once.
+// applyWireMUpdate records a wire m-update in the view log and installs it
+// on exactly the shards it addresses — the per-shard epoch machinery.
+// Installs are asynchronous: the dispatch pump must not block behind one
+// busy shard's event loop (that would re-couple the shards the per-shard
+// epochs decouple). Node-wide (AllShards) updates divert to an attached
+// rollout controller, which rolls them across the shards one gate at a time
+// instead of shutting all W at once.
 func (sn *ShardedNode) applyWireMUpdate(m proto.MUpdate) {
-	switch {
-	case m.Shard == proto.AllShards:
+	sn.recordView(m)
+	if m.Shard == proto.AllShards {
 		if h := sn.viewHandlers.Load(); h != nil && h.View != nil {
 			h.View(m.View)
 			return
 		}
-		for _, s := range sn.shards {
-			s.installAsync(m.View)
-		}
-	case int(m.Shard) < sn.w:
-		sn.shards[m.Shard].installAsync(m.View)
 	}
+	lo, hi := shardhost.Addressed(sn.w, m)
+	for _, s := range sn.shards[lo:hi] {
+		s.installAsync(m.View)
+	}
+}
+
+// recordView retains a membership update in the node's view log, from
+// which peers fast-forward.
+func (sn *ShardedNode) recordView(m proto.MUpdate) {
+	sn.vlogMu.Lock()
+	sn.vlog.Record(m)
+	sn.vlogMu.Unlock()
 }
 
 // SetViewHandlers attaches (or, with nil, detaches) the node-level
@@ -441,36 +441,6 @@ func (sn *ShardedNode) SetViewHandlers(h *ViewHandlers) {
 // the direct install path otherwise).
 func (sn *ShardedNode) RequestViewLog(peer proto.NodeID, req proto.ViewLogReq) {
 	sn.tr.Send(sn.id, peer, req)
-}
-
-func (sn *ShardedNode) dispatchTagged(from proto.NodeID, sm proto.ShardMsg) {
-	if int(sm.Shard) < sn.w && sn.ownerOf(sm.Msg, sm.Shard) == sm.Shard {
-		sn.deliver[sm.Shard](from, sm.Msg)
-		return
-	}
-	// Mis-tagged drop (W mismatch): spend the frame references wings decode
-	// retained for the message's values, like every other drop path.
-	core.ReleaseMsgOwners(sm.Msg)
-}
-
-// ownerOf maps a protocol message to the shard owning it locally.
-// Key-carrying messages hash their key; instance-scoped traffic
-// (membership checks, state-transfer chunks) has no key and keeps dflt —
-// the sender's tag for tagged messages, shard 0 (where a W=1 peer's single
-// engine lives) for untagged ones.
-func (sn *ShardedNode) ownerOf(msg any, dflt uint16) uint16 {
-	if sn.w == 1 {
-		return 0
-	}
-	switch m := msg.(type) {
-	case core.INV:
-		return proto.ShardOf(m.Key, sn.w)
-	case core.ACK:
-		return proto.ShardOf(m.Key, sn.w)
-	case core.VAL:
-		return proto.ShardOf(m.Key, sn.w)
-	}
-	return dflt
 }
 
 // ID returns the node's ID.
@@ -545,6 +515,7 @@ func (sn *ShardedNode) FAA(ctx context.Context, key proto.Key, delta int64) (int
 // transition independently over its own keyspace partition: its read gate
 // shuts, its in-flight epoch-tagged messages are filtered, its replays run.
 func (sn *ShardedNode) InstallView(v proto.View) {
+	sn.recordView(proto.MUpdate{Shard: proto.AllShards, View: v})
 	for _, s := range sn.shards {
 		s.InstallView(v)
 	}
@@ -557,6 +528,7 @@ func (sn *ShardedNode) InstallView(v proto.View) {
 // -exp reconfig`). Blocks until the target shard's event loop has completed
 // the transition.
 func (sn *ShardedNode) InstallShardView(shard int, v proto.View) {
+	sn.recordView(proto.MUpdate{Shard: uint16(shard), View: v})
 	sn.shards[shard].InstallView(v)
 }
 

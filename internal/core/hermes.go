@@ -535,16 +535,6 @@ func (h *Hermes) onINV(from proto.NodeID, inv INV) {
 	e := h.entry(inv.Key)
 	cmp := inv.TS.Compare(e.TS)
 
-	if inv.RMW && cmp < 0 {
-		// FRMW-ACK: an RMW that has already lost. Respond with the local
-		// state as an INV (the same message a write replay uses) so the RMW
-		// coordinator observes the higher timestamp and aborts.
-		inv.ReleaseOwner()
-		h.env.Send(from, INV{Epoch: h.view.Epoch, Key: inv.Key, TS: e.TS, Value: safeVal(e), RMW: e.RMW})
-		h.metrics.INVsSent++
-		return
-	}
-
 	if cmp > 0 {
 		h.applyINV(inv)
 	} else {
@@ -637,6 +627,13 @@ func (h *Hermes) applyINV(inv INV) {
 // outranked the INV (cmp < 0, ACK-without-apply) the ACK teaches the sender
 // the rival entry so the losing write's coordinator never validates its copy
 // blind to the in-flight chain above it.
+//
+// An RMW INV that has already lost (FRMW-ACK) gets the same teaching ACK,
+// unicast: the coordinator's learnHigher installs the rival entry, and
+// applyINV aborts (or subsumes) the losing pending. The answer must be an
+// ACK — a response — because it repays the send credit the coordinator's
+// INV spent on this link; an unanswered credit per lost RMW would wedge the
+// link after one window of conflicts.
 func (h *Hermes) sendACK(from proto.NodeID, inv INV, cmp int) {
 	ack := ACK{Epoch: h.view.Epoch, Key: inv.Key, TS: inv.TS}
 	if cmp < 0 {
@@ -647,7 +644,7 @@ func (h *Hermes) sendACK(from proto.NodeID, inv INV, cmp int) {
 		ack.HRMW = e.RMW
 		h.metrics.TeachACKs++
 	}
-	if !h.cfg.EarlyACKs {
+	if !h.cfg.EarlyACKs || (inv.RMW && cmp < 0) {
 		h.env.Send(from, ack)
 		h.metrics.ACKsSent++
 		return

@@ -121,24 +121,30 @@ func TestConcurrentRMWsExactlyOneCommits(t *testing.T) {
 }
 
 // The FRMW-ACK rule: a follower that has already seen a higher timestamp
-// answers a losing RMW's INV with its local state (an INV), not an ACK.
-func TestLosingRMWReceivesStateINV(t *testing.T) {
+// answers a losing RMW's INV with a unicast teaching ACK carrying its local
+// state. The reply must be a response (an ACK), not an INV: only a response
+// repays the send credit the coordinator's INV spent on the link.
+func TestLosingRMWReceivesTeachingACK(t *testing.T) {
 	h := newHarness(t, 3, nil)
 	h.write(1, 1, "newer") // ts (2,1)
 	h.run()
-	// Node 0 hasn't seen... actually it has; force the race by injecting an
-	// RMW INV with a stale timestamp directly.
+	// Force the race by injecting an RMW INV with a stale timestamp directly.
 	h.nodes[1].Deliver(0, INV{Epoch: 1, Key: 1, TS: proto.TS{Version: 1, CID: 0}, Value: proto.EncodeInt64(1), RMW: true})
-	// Node 1 must respond with its local state as an INV, not an ACK.
 	if len(h.msgs) != 1 {
 		t.Fatalf("%d messages, want 1", len(h.msgs))
 	}
-	reply, is := h.msgs[0].msg.(INV)
-	if !is {
-		t.Fatalf("reply is %T, want INV", h.msgs[0].msg)
+	if to := h.msgs[0].to; to != 0 {
+		t.Fatalf("reply sent to node %d, want the coordinator 0", to)
 	}
-	if reply.TS != (proto.TS{Version: 2, CID: 1}) || string(reply.Value) != "newer" {
-		t.Fatalf("state INV: %+v", reply)
+	reply, is := h.msgs[0].msg.(ACK)
+	if !is {
+		t.Fatalf("reply is %T, want ACK", h.msgs[0].msg)
+	}
+	if reply.TS != (proto.TS{Version: 1, CID: 0}) || !reply.Higher {
+		t.Fatalf("teaching ACK must echo the losing TS and set Higher: %+v", reply)
+	}
+	if reply.HTS != (proto.TS{Version: 2, CID: 1}) || string(reply.HVal) != "newer" {
+		t.Fatalf("teaching ACK payload: %+v", reply)
 	}
 }
 

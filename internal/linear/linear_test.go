@@ -224,3 +224,18 @@ func TestReturnWithoutInvokeIgnored(t *testing.T) {
 		t.Fatal("phantom op recorded")
 	}
 }
+
+// Close must turn the same pending invocations into the same history every
+// time: seeded chaos runs fingerprint it, so map order must not leak in.
+func TestCloseOrdersPendingByID(t *testing.T) {
+	h := NewHistory()
+	for id := uint64(1); id <= 8; id++ {
+		h.Invoke(id, 5, KWrite, proto.EncodeInt64(int64(id)), nil, time.Duration(id))
+	}
+	h.Close()
+	for i, op := range h.Ops(5) {
+		if op.ID != uint64(i+1) || op.Return != Pending {
+			t.Fatalf("closed history %+v: op %d out of ID order or not pending", h.Ops(5), i)
+		}
+	}
+}

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/proto"
+	"repro/internal/shardhost"
 )
 
 // --- Messages ---
@@ -155,23 +156,17 @@ type Agent struct {
 	prop      *proposal
 	ballotGen uint64
 
-	// vlog is the bounded view log: every view this agent has installed, in
-	// ascending epoch order, capped at viewLogCap. A node or shard that
+	// vlog is the bounded view log (node-wide entries): every view this
+	// agent has installed, in ascending epoch order. A node or shard that
 	// skipped epochs replays the gap from a peer's log (proto.ViewLogReq)
 	// instead of wedging on the <=-epoch install guard.
-	vlog []proto.View
+	vlog shardhost.ViewLog
 	// redelivered counts installs dropped by the <=-epoch guard: duplicate
 	// deliveries of the current view (a lossy wire redelivers ViewCommits)
 	// and stale ones. Redelivery stays idempotent — OnView never re-fires —
 	// but is observable here.
 	redelivered uint64
 }
-
-// viewLogCap bounds the retained view log. Reconfigurations are rare (node
-// churn, not data-path traffic), so 64 epochs of history is far more than
-// any live gap; a laggard behind by more must have been down long enough
-// that it rejoins through the full learner arc anyway.
-const viewLogCap = 64
 
 // New builds an Agent. The caller must invoke Tick periodically and route
 // membership messages to Deliver.
@@ -198,7 +193,7 @@ func New(cfg Config) *Agent {
 	for _, n := range cfg.All {
 		a.lastHeard[n] = a.env.Now()
 	}
-	a.logView(a.view)
+	a.vlog.Record(proto.MUpdate{Shard: proto.AllShards, View: a.view})
 	return a
 }
 
@@ -501,10 +496,8 @@ func (a *Agent) send(to proto.NodeID, msg any) {
 // replay the epochs it missed.
 func (a *Agent) ViewLog(since uint32) []proto.View {
 	var out []proto.View
-	for _, v := range a.vlog {
-		if v.Epoch > since {
-			out = append(out, v.Clone())
-		}
+	for _, mu := range a.vlog.Serve(proto.ViewLogReq{Shard: proto.AllShards, Since: since}) {
+		out = append(out, mu.View.Clone())
 	}
 	return out
 }
@@ -519,21 +512,13 @@ func (a *Agent) Redelivered() uint64 { return a.redelivered }
 // flight (phase 1 or 2 of its Paxos instance).
 func (a *Agent) Proposing() bool { return a.prop != nil }
 
-func (a *Agent) logView(v proto.View) {
-	a.vlog = append(a.vlog, v.Clone())
-	if len(a.vlog) > viewLogCap {
-		// Drop the oldest; copy so the backing array does not pin them.
-		a.vlog = append(a.vlog[:0:0], a.vlog[len(a.vlog)-viewLogCap:]...)
-	}
-}
-
 func (a *Agent) install(v proto.View) {
 	if v.Epoch <= a.view.Epoch {
 		a.redelivered++
 		return
 	}
 	a.view = v.Clone()
-	a.logView(a.view)
+	a.vlog.Record(proto.MUpdate{Shard: proto.AllShards, View: a.view})
 	// Drop consensus state for decided instances.
 	for i := range a.instances {
 		if i <= v.Epoch {

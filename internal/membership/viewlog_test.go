@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/proto"
+	"repro/internal/shardhost"
 )
 
 // The view log + redelivery counter + without-aliasing fixes, unit-tested
@@ -124,19 +125,19 @@ func TestViewLogRetainsAndBounds(t *testing.T) {
 	if a.ViewLog(6)[0].Members[0] == proto.NilNode {
 		t.Fatal("ViewLog returned an aliased member list")
 	}
-	// Blow past the cap; the log keeps only the newest viewLogCap entries.
-	for e := uint32(11); e <= 11+2*viewLogCap; e++ {
+	// Blow past the cap; the log keeps only the newest shardhost.LogCap entries.
+	for e := uint32(11); e <= 11+2*shardhost.LogCap; e++ {
 		a.Deliver(1, ViewCommit{View: proto.View{Epoch: e, Members: members}})
 	}
 	all := a.ViewLog(0)
-	if len(all) != viewLogCap {
-		t.Fatalf("log holds %d views after overflow, want %d", len(all), viewLogCap)
+	if len(all) != shardhost.LogCap {
+		t.Fatalf("log holds %d views after overflow, want %d", len(all), shardhost.LogCap)
 	}
-	if newest := all[len(all)-1].Epoch; newest != 11+2*viewLogCap {
-		t.Fatalf("newest retained epoch %d, want %d", newest, 11+2*uint32(viewLogCap))
+	if newest := all[len(all)-1].Epoch; newest != 11+2*shardhost.LogCap {
+		t.Fatalf("newest retained epoch %d, want %d", newest, 11+2*uint32(shardhost.LogCap))
 	}
-	if oldest := all[0].Epoch; oldest != 11+2*viewLogCap-(viewLogCap-1) {
-		t.Fatalf("oldest retained epoch %d, want %d", oldest, 11+2*viewLogCap-(viewLogCap-1))
+	if oldest := all[0].Epoch; oldest != 11+2*shardhost.LogCap-(shardhost.LogCap-1) {
+		t.Fatalf("oldest retained epoch %d, want %d", oldest, 11+2*shardhost.LogCap-(shardhost.LogCap-1))
 	}
 }
 

@@ -608,7 +608,7 @@ func (r *chaosRun) propose(members, learners []proto.NodeID) bool {
 // onAgentView is the Config.OnView hook of agent-driven runs: one node's
 // agent committed view v. It mirrors cluster.RolloutController inside the
 // simulator — record the view in the node's log, then roll it across the
-// node's shards one at a time, coolest engine first (by ops processed),
+// node's shards one at a time in the replica's RollOrder (coolest first),
 // with a fixed stagger. Everything runs on engine events, so the rollout is
 // deterministic and exactly replayable.
 func (r *chaosRun) onAgentView(id proto.NodeID, v proto.View) {
@@ -630,7 +630,7 @@ func (r *chaosRun) onAgentView(id proto.NodeID, v proto.View) {
 	}
 	rep.RecordView(proto.MUpdate{Shard: proto.AllShards, View: v})
 	const rolloutStagger = 150 * time.Microsecond
-	for pos, s := range engineLoadOrder(rep) {
+	for pos, s := range rep.RollOrder() {
 		s := s
 		r.c.eng.After(time.Duration(pos)*rolloutStagger, func() {
 			if !r.alive[id] {
@@ -641,28 +641,6 @@ func (r *chaosRun) onAgentView(id proto.NodeID, v proto.View) {
 			}
 		})
 	}
-}
-
-// engineLoadOrder sorts a replica's shard indices by ops processed so far,
-// ascending (ties by index): the deterministic sim stand-in for the live
-// controller's read/write load counters.
-func engineLoadOrder(rep *ShardedReplica) []int {
-	load := make([]uint64, rep.Shards())
-	for i := 0; i < rep.Shards(); i++ {
-		m := rep.Engine(i).Metrics()
-		load[i] = m.Reads + m.Writes + m.RMWs
-	}
-	order := make([]int, len(load))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if load[order[a]] != load[order[b]] {
-			return load[order[a]] < load[order[b]]
-		}
-		return order[a] < order[b]
-	})
-	return order
 }
 
 // leaseFlip revokes a serving member's lease for dur — the node rejects

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/proto"
+	"repro/internal/shardhost"
 )
 
 // ShardedReplica is the simulator's counterpart of cluster.ShardedNode: one
@@ -15,11 +17,11 @@ import (
 // machines behind one Replica facade, and CPU parallelism (when wanted) is
 // modeled separately by Config.Workers.
 //
-// The wire shape matches the live runtime exactly: outgoing messages wrap in
-// proto.ShardMsg (elided at W=1), arriving tagged messages deliver only when
-// the tag matches the local owner of the key they carry, and a proto.MUpdate
-// installs on exactly the shards it addresses. That makes the chaos harness
-// exercise the same routing and per-shard epoch filtering the live cluster
+// Outgoing messages wrap in proto.ShardMsg (elided at W=1) as on the live
+// node, and every policy decision — routing, the view log, the epoch-gossip
+// observer, the roll order — is the live node's own, from package
+// shardhost, clocked by Env.Now. The chaos harness therefore exercises the
+// routing, per-shard epoch filtering and self-healing the live cluster
 // ships.
 type ShardedReplica struct {
 	id      proto.NodeID
@@ -27,38 +29,27 @@ type ShardedReplica struct {
 	env     proto.Env
 	engines []*core.Hermes
 
-	// vlog is the bounded view log: every membership update this node has
-	// seen (wire MUpdates, direct installs, node-wide views), in arrival
-	// order with exact duplicates elided. A rejoining or lagging peer
-	// replays its gap from here via proto.ViewLogReq — the fast-forward
-	// path that replaced the chaos harness's out-of-band install backstop.
-	vlog []proto.MUpdate
+	// vlog is the view log: every membership update this node has seen
+	// (wire MUpdates, direct installs, node-wide views). A rejoining or
+	// lagging peer replays its gap from here via proto.ViewLogReq.
+	vlog shardhost.ViewLog
 
 	// ffServed counts view-log entries served to peers; ffApplied counts
 	// fetched entries whose replay actually advanced a local shard's epoch.
 	ffServed, ffApplied uint64
 
-	// Epoch-gossip self-healing state, the sim mirror of the live rollout
-	// controller's observer: cfg.GossipEvery paces the announcements,
-	// nextGossip/ffNotBefore are the send and debounce horizons, and
-	// candPeer/candEpoch hold the best fast-forward candidate (newest peer
-	// preferred) seen in the current debounce window.
-	cfg         ShardedReplicaConfig
-	nextGossip  time.Duration
-	ffNotBefore time.Duration
-	candPeer    proto.NodeID
-	candEpoch   uint32
-	haveCand    bool
+	// Epoch-gossip self-healing: cfg.GossipEvery paces the announcements,
+	// nextGossip is the next send, obs decides the fetches.
+	cfg        ShardedReplicaConfig
+	nextGossip time.Duration
+	obs        shardhost.Observer
+	// prevLoads is the per-engine load at the previous RollOrder.
+	prevLoads []uint64
 	// gossipSent counts vectors announced; gossipBehind counts observations
 	// showing a peer strictly ahead; gossipFF counts debounced fetches
 	// actually issued (the self-healing trigger firing).
 	gossipSent, gossipBehind, gossipFF uint64
 }
-
-// replicaViewLogCap bounds the retained log, mirroring membership.Agent's
-// ring: reconfiguration is control-plane rare and a laggard further behind
-// rejoins through the learner arc.
-const replicaViewLogCap = 64
 
 // ShardedReplicaConfig parameterizes NewShardedReplica. The embedded toggles
 // mean what they do on core.Config.
@@ -76,9 +67,6 @@ type ShardedReplicaConfig struct {
 	// issues its own debounced view-log fetch: self-healing with no harness
 	// backstop.
 	GossipEvery time.Duration
-	// FFDebounce rate-limits gossip-triggered fetches (default
-	// 4 x GossipEvery).
-	FFDebounce time.Duration
 }
 
 // shardReplicaEnv is one engine's window to the host env: it tags outgoing
@@ -132,30 +120,18 @@ func (r *ShardedReplica) Submit(op proto.ClientOp) {
 	r.engines[proto.ShardOf(op.Key, r.w)].Submit(op)
 }
 
-// Deliver implements proto.Replica, mirroring cluster.ShardedNode.dispatch:
-// batches fan out, tagged messages pass the tag-vs-owner check, m-updates
-// install on the shards they address, untagged traffic routes by key.
+// Deliver implements proto.Replica: protocol traffic routes through
+// shardhost.Route, node-level control traffic is handled here.
 func (r *ShardedReplica) Deliver(from proto.NodeID, msg any) {
+	if shardhost.Route(r.w, msg, func(s uint16, m any) { r.engines[s].Deliver(from, m) }) {
+		return
+	}
 	switch m := msg.(type) {
-	case proto.ShardBatch:
-		for _, sm := range m.Msgs {
-			r.deliverTagged(from, sm)
-		}
-	case proto.ShardMsg:
-		r.deliverTagged(from, m)
 	case proto.MUpdate:
 		r.RecordView(m)
 		r.applyMUpdate(m)
 	case proto.ViewLogReq:
-		// A lagging peer's fast-forward fetch: answer with the retained
-		// updates above its epoch that concern the shard it asks about.
-		var ups []proto.MUpdate
-		for _, mu := range r.vlog {
-			if mu.View.Epoch > m.Since &&
-				(m.Shard == proto.AllShards || mu.Shard == proto.AllShards || mu.Shard == m.Shard) {
-				ups = append(ups, mu)
-			}
-		}
+		ups := r.vlog.Serve(m)
 		r.ffServed += uint64(len(ups))
 		r.env.Send(from, proto.ViewLogResp{Updates: ups})
 	case proto.ViewLogResp:
@@ -171,83 +147,41 @@ func (r *ShardedReplica) Deliver(from proto.NodeID, msg any) {
 	case proto.EpochGossip:
 		r.ObserveEpochGossip(from, m.Epochs)
 	default:
-		r.engines[r.ownerOf(msg, 0)].Deliver(from, msg)
+		panic(fmt.Sprintf("sim: shardhost.Route left %T unrouted", msg))
 	}
 }
 
 // applyMUpdate installs a membership update on the shards it addresses.
 func (r *ShardedReplica) applyMUpdate(m proto.MUpdate) {
-	switch {
-	case m.Shard == proto.AllShards:
-		for _, e := range r.engines {
-			e.OnViewChange(m.View)
-		}
-	case int(m.Shard) < r.w:
-		r.engines[m.Shard].OnViewChange(m.View)
+	lo, hi := shardhost.Addressed(r.w, m)
+	for _, e := range r.engines[lo:hi] {
+		e.OnViewChange(m.View)
 	}
 }
 
 // advances reports whether installing m would move some addressed shard's
 // epoch forward.
 func (r *ShardedReplica) advances(m proto.MUpdate) bool {
-	switch {
-	case m.Shard == proto.AllShards:
-		for _, e := range r.engines {
-			if e.View().Epoch < m.View.Epoch {
-				return true
-			}
+	lo, hi := shardhost.Addressed(r.w, m)
+	for _, e := range r.engines[lo:hi] {
+		if e.View().Epoch < m.View.Epoch {
+			return true
 		}
-	case int(m.Shard) < r.w:
-		return r.engines[m.Shard].View().Epoch < m.View.Epoch
 	}
 	return false
 }
 
-// RecordView retains a membership update in the replica's bounded view log
-// (exact duplicates elided) without installing it. The chaos harness calls
-// it on the deciding coordinator — the membership service durably knows its
-// own decisions even when the wire loses the fan-out — and Deliver records
-// every update that arrives, so any node that applied an epoch can serve it
-// to a laggard.
-func (r *ShardedReplica) RecordView(m proto.MUpdate) {
-	for _, have := range r.vlog {
-		if have.Shard == m.Shard && have.View.Epoch == m.View.Epoch {
-			return
-		}
-	}
-	r.vlog = append(r.vlog, proto.MUpdate{Shard: m.Shard, View: m.View.Clone()})
-	if len(r.vlog) > replicaViewLogCap {
-		r.vlog = append(r.vlog[:0:0], r.vlog[len(r.vlog)-replicaViewLogCap:]...)
-	}
-}
+// RecordView retains a membership update in the replica's view log without
+// installing it. The chaos harness calls it on the deciding coordinator —
+// the membership service durably knows its own decisions even when the
+// wire loses the fan-out — and Deliver records every update that arrives,
+// so any node that applied an epoch can serve it to a laggard.
+func (r *ShardedReplica) RecordView(m proto.MUpdate) { r.vlog.Record(m) }
 
 // FastForwardStats reports the view-log counters: entries served to peers
 // and fetched entries that advanced a local epoch.
 func (r *ShardedReplica) FastForwardStats() (served, applied uint64) {
 	return r.ffServed, r.ffApplied
-}
-
-func (r *ShardedReplica) deliverTagged(from proto.NodeID, sm proto.ShardMsg) {
-	if int(sm.Shard) < r.w && r.ownerOf(sm.Msg, sm.Shard) == sm.Shard {
-		r.engines[sm.Shard].Deliver(from, sm.Msg)
-	}
-}
-
-// ownerOf maps a message to the local shard owning it — key-carrying
-// messages by hash, instance-scoped traffic keeps the default tag.
-func (r *ShardedReplica) ownerOf(msg any, dflt uint16) uint16 {
-	if r.w == 1 {
-		return 0
-	}
-	switch m := msg.(type) {
-	case core.INV:
-		return proto.ShardOf(m.Key, r.w)
-	case core.ACK:
-		return proto.ShardOf(m.Key, r.w)
-	case core.VAL:
-		return proto.ShardOf(m.Key, r.w)
-	}
-	return dflt
 }
 
 // Tick implements proto.Replica.
@@ -297,63 +231,20 @@ func (r *ShardedReplica) newestView() proto.View {
 	return best
 }
 
-// ObserveEpochGossip is the receive side of epoch gossip: if the peer's
-// vector is strictly ahead of any local shard, the peer becomes a
-// fast-forward candidate, and at most one view-log fetch fires per debounce
-// window — at the candidate advertising the highest epoch seen within it
-// (newest peer preferred). The same observer serves heartbeat-piggybacked
-// vectors (membership.Config.OnPeerAhead) and wire gossip frames. Advisory
-// only: the fetch's answer replays through the normal install path, so a
-// lying vector can waste one request, never corrupt state.
+// ObserveEpochGossip is the receive side of epoch gossip, for wire frames
+// and heartbeat-piggybacked vectors (membership.Config.OnPeerAhead) alike:
+// shardhost.Observer decides whether the peer is ahead and whether a
+// debounced fetch fires, and at whom.
 func (r *ShardedReplica) ObserveEpochGossip(from proto.NodeID, epochs []uint32) {
 	local := r.ShardEpochs()
-	behind := false
-	var peerMax, localMax uint32
-	for _, e := range local {
-		if e > localMax {
-			localMax = e
-		}
+	behind, fetch, peer := r.obs.Observe(r.env.Now(), shardhost.Debounce(r.cfg.GossipEvery), from, epochs, local)
+	if behind {
+		r.gossipBehind++
 	}
-	for i, e := range epochs {
-		if e > peerMax {
-			peerMax = e
-		}
-		if i < len(local) && e > local[i] {
-			behind = true
-		}
+	if fetch {
+		r.gossipFF++
+		r.env.Send(peer, shardhost.FetchReq(local))
 	}
-	if peerMax > localMax {
-		behind = true
-	}
-	if !behind {
-		return
-	}
-	r.gossipBehind++
-	if !r.haveCand || peerMax > r.candEpoch {
-		r.candPeer, r.candEpoch, r.haveCand = from, peerMax, true
-	}
-	now := r.env.Now()
-	if now < r.ffNotBefore {
-		return
-	}
-	debounce := r.cfg.FFDebounce
-	if debounce <= 0 {
-		debounce = 4 * r.cfg.GossipEvery
-	}
-	if debounce <= 0 {
-		debounce = 4 * time.Millisecond
-	}
-	r.ffNotBefore = now + debounce
-	peer := r.candPeer
-	r.haveCand, r.candEpoch = false, 0
-	r.gossipFF++
-	since := local[0]
-	for _, e := range local {
-		if e < since {
-			since = e
-		}
-	}
-	r.env.Send(peer, proto.ViewLogReq{Shard: proto.AllShards, Since: since})
 }
 
 // GossipStats reports the epoch-gossip counters: vectors announced, peer-
@@ -403,6 +294,20 @@ func (r *ShardedReplica) CaughtUp() bool {
 		}
 	}
 	return true
+}
+
+// RollOrder is the order a node-wide view rolls across the engines:
+// shardhost.RollOrder over the ops each engine processed since the previous
+// call.
+func (r *ShardedReplica) RollOrder() []int {
+	load := make([]uint64, r.w)
+	for i, e := range r.engines {
+		m := e.Metrics()
+		load[i] = m.Reads + m.Writes + m.RMWs
+	}
+	order := shardhost.RollOrder(load, r.prevLoads)
+	r.prevLoads = load
+	return order
 }
 
 // ShardEpochs reports each engine's current membership epoch; with per-shard

@@ -2,8 +2,10 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -163,6 +165,64 @@ func TestShardMsgTCPReconnect(t *testing.T) {
 		}
 		if v, err := node1b.Read(ctx, k); err != nil || string(v) != "after" {
 			t.Fatalf("restarted node read key %d: %q %v", k, v, err)
+		}
+	}
+}
+
+// TestLostRMWsDoNotWedgeLinks: two coordinators FAA one hot key until more
+// than a credit window's worth of RMWs have lost. A follower answers every
+// losing RMW INV; that answer must be a response, which repays the credit
+// the INV spent. An answer that repays nothing leaks one credit per lost
+// RMW, and after one window (1024) the link wedges: the FAAs behind it
+// time out.
+func TestLostRMWsDoNotWedgeLinks(t *testing.T) {
+	nodes, _, done := shardedMeshGroup(t, 3, 2)
+	defer done()
+	const key = proto.Key(7)
+	lostWant := int64(2 * DefaultLinkConfig().Credits)
+	deadline := time.Now().Add(90 * time.Second)
+
+	var lost, committed atomic.Int64
+	var stop atomic.Bool
+	errs := make(chan error, 2)
+	var wg sync.WaitGroup
+	for _, n := range nodes[:2] {
+		wg.Add(1)
+		go func(n *cluster.ShardedNode) {
+			defer wg.Done()
+			for !stop.Load() && lost.Load() < lostWant && time.Now().Before(deadline) {
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				_, err := n.FAA(ctx, key, 1)
+				cancel()
+				switch {
+				case err == nil:
+					committed.Add(1)
+				case errors.Is(err, cluster.ErrAborted):
+					lost.Add(1)
+				default:
+					stop.Store(true)
+					errs <- fmt.Errorf("node %d: FAA stalled after %d lost / %d committed RMWs: %v",
+						n.ID(), lost.Load(), committed.Load(), err)
+					return
+				}
+			}
+		}(n)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if lost.Load() < lostWant {
+		t.Fatalf("only %d RMWs lost before the deadline (%d committed), want %d", lost.Load(), committed.Load(), lostWant)
+	}
+	// The counter holds exactly the committed increments, on every node.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, n := range nodes {
+		prior, err := n.FAA(ctx, key, 0)
+		if err != nil || prior != committed.Load() {
+			t.Fatalf("node %d: counter %d (%v), want %d committed increments", n.ID(), prior, err, committed.Load())
 		}
 	}
 }
